@@ -16,13 +16,14 @@
 // against kMaxCheckpointSection before any allocation. Section ids:
 //
 //   kMeta      varints: format version, sequence, model epoch,
-//              zigzag(window), analyzer threads, synopses ingested, and the
-//              server's published/acked watermark at capture.
+//              zigzag(window), analyzer threads (advisory; the analyzer is
+//              single-threaded, so writers store 1), synopses ingested, and
+//              the server's published/acked watermark at capture.
 //   kModel     the OutlierModel bytes (model_io.cpp's "SAADMDL1" codec).
 //   kRegistry  the LogRegistry bytes (log_registry.cpp codec).
-//   kAnalyzer  canonical AnalyzerPool state (AnalyzerPool::save_state) —
-//              every open detection window's per-(host, stage) and
-//              per-signature tallies, portable across thread counts.
+//   kAnalyzer  canonical AnomalyDetector state (AnomalyDetector::save_state)
+//              — every open detection window's per-(host, stage) and
+//              per-signature tallies plus the close cursor.
 //   kAnomalies verdicts already emitted before the checkpoint, so a resumed
 //              serve's final report is byte-identical to an uninterrupted
 //              run.
@@ -71,7 +72,7 @@ enum class CheckpointSection : std::uint8_t {
 
 struct Checkpoint {
   std::uint64_t sequence = 0;     // monotone per directory; in the filename
-  std::uint64_t model_epoch = 0;  // AnalyzerPool epoch at capture
+  std::uint64_t model_epoch = 0;  // applied model swaps at capture
   UsTime window = 0;              // detector window; resume must match
   std::uint64_t threads = 0;      // advisory: analyzer threads at capture
   std::uint64_t ingested = 0;     // synopses ingested (for the final report)
@@ -79,7 +80,7 @@ struct Checkpoint {
   std::uint64_t acked = 0;        // server watermark: synopses consumed
   std::vector<std::uint8_t> model;     // OutlierModel::save bytes
   std::vector<std::uint8_t> registry;  // LogRegistry::save bytes
-  std::vector<std::uint8_t> analyzer;  // AnalyzerPool::save_state bytes
+  std::vector<std::uint8_t> analyzer;  // AnomalyDetector::save_state bytes
   std::vector<Anomaly> anomalies;      // verdicts emitted before capture
 };
 

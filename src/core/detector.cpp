@@ -15,6 +15,9 @@ namespace saad::core {
 namespace {
 
 struct DetectorMetrics {
+  obs::Counter& analyzer_ingested;
+  obs::Counter& model_swaps;
+  obs::Gauge& model_epoch;
   obs::Counter& synopses;
   obs::Counter& windows_closed;
   obs::Counter& flow_anomalies;
@@ -24,12 +27,22 @@ struct DetectorMetrics {
   obs::Histogram& window_close_us;
 
   DetectorMetrics()
-      : synopses(obs::MetricsRegistry::global().counter(
+      : analyzer_ingested(obs::MetricsRegistry::global().counter(
+            "saad_analyzer_ingested_total",
+            "Synopses handed to the analyzer.")),
+        model_swaps(obs::MetricsRegistry::global().counter(
+            "saad_analyzer_model_swaps_total",
+            "Hot model reloads applied at a window boundary.")),
+        model_epoch(obs::MetricsRegistry::global().gauge(
+            "saad_analyzer_model_epoch",
+            "Model epoch of the most recently swapped analyzer (0 = the "
+            "construction model, +1 per applied swap).")),
+        synopses(obs::MetricsRegistry::global().counter(
             "saad_detector_synopses_total",
             "Synopses classified and bucketed into windows.")),
         windows_closed(obs::MetricsRegistry::global().counter(
             "saad_detector_windows_closed_total",
-            "Detection windows closed (summed across pool workers).")),
+            "Detection windows closed.")),
         flow_anomalies(obs::MetricsRegistry::global().counter(
             "saad_detector_anomalies_total", "Anomaly verdicts raised.",
             {{"kind", "flow"}})),
@@ -80,7 +93,11 @@ void AnomalyDetector::ingest(const Synopsis& synopsis) {
                                          "window %zu opened", effective);
   }
   auto& stage_stats = win_it->second[{f.host, f.stage}];
-  if constexpr (obs::kMetricsEnabled) DetectorMetrics::get().synopses.inc();
+  if constexpr (obs::kMetricsEnabled) {
+    auto& metrics = DetectorMetrics::get();
+    metrics.analyzer_ingested.inc();
+    metrics.synopses.inc();
+  }
 
   const Classification c = model_->classify(f);
   stage_stats.n++;
@@ -130,6 +147,16 @@ std::vector<Anomaly> AnomalyDetector::finish() {
 void AnomalyDetector::rebind_model(const OutlierModel* model) {
   assert(model != nullptr);
   model_ = model;
+  ++model_epoch_;
+  if constexpr (obs::kMetricsEnabled) {
+    auto& metrics = DetectorMetrics::get();
+    metrics.model_swaps.inc();
+    metrics.model_epoch.set(static_cast<std::int64_t>(model_epoch_));
+  }
+  obs::FlightRecorder::global().record(
+      obs::EventKind::kModelReload,
+      "analyzer: model swapped at window boundary (epoch %llu)",
+      static_cast<unsigned long long>(model_epoch_));
 }
 
 namespace {
@@ -195,8 +222,7 @@ void AnomalyDetector::save_state(std::vector<std::uint8_t>& out) const {
   }
 }
 
-bool AnomalyDetector::restore_state(std::span<const std::uint8_t> in,
-                                    bool merge) {
+bool AnomalyDetector::restore_state(std::span<const std::uint8_t> in) {
   // Decode into scratch structures first: a malformed tail must not leave
   // the detector half-mutated.
   std::uint64_t version = 0, next_window = 0, ingested = 0, num_windows = 0;
@@ -254,39 +280,9 @@ bool AnomalyDetector::restore_state(std::span<const std::uint8_t> in,
   }
   if (!in.empty()) return false;
 
-  if (!merge) {
-    open_windows_ = std::move(windows);
-    next_window_to_close_ = static_cast<std::size_t>(next_window);
-    ingested_ = ingested;
-    return true;
-  }
-  // Merge: sum tallies, max cursors. AnalyzerPool folds per-worker states
-  // this way — partitions have disjoint (host, stage) keys, but the merge is
-  // written to be correct for overlapping keys too.
-  for (auto& [index, window] : windows) {
-    auto& dst_window = open_windows_[index];
-    for (auto& [key, src] : window) {
-      auto& dst = dst_window[key];
-      dst.n += src.n;
-      dst.flow_outliers += src.flow_outliers;
-      if (dst.example_flow_outlier.empty())
-        dst.example_flow_outlier = std::move(src.example_flow_outlier);
-      for (auto& sig : src.new_signatures) {
-        auto& fresh = dst.new_signatures;
-        if (std::find(fresh.begin(), fresh.end(), sig) == fresh.end())
-          fresh.push_back(std::move(sig));
-      }
-      for (auto& [sig, src_stats] : src.per_signature) {
-        auto& dst_stats = dst.per_signature[sig];
-        dst_stats.n += src_stats.n;
-        dst_stats.perf_outliers += src_stats.perf_outliers;
-        dst_stats.perf_applicable |= src_stats.perf_applicable;
-      }
-    }
-  }
-  next_window_to_close_ =
-      std::max(next_window_to_close_, static_cast<std::size_t>(next_window));
-  ingested_ += ingested;
+  open_windows_ = std::move(windows);
+  next_window_to_close_ = static_cast<std::size_t>(next_window);
+  ingested_ = ingested;
   return true;
 }
 

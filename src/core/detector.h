@@ -39,12 +39,6 @@ struct DetectorConfig {
   /// the correction trades a little sensitivity for a familywise error
   /// bound. See the `ablation_tests` bench.
   bool bonferroni = false;
-  /// Worker threads for windowed detection when the detector runs behind an
-  /// AnalyzerPool (Monitor does this). 1 = serial (seed behavior), 0 = one
-  /// per hardware thread. Verdicts are thread-count-invariant: tests are
-  /// keyed per (host, stage[, signature]) and windows are partitioned by
-  /// that key (see analyzer_pool.h). Ignored by a bare AnomalyDetector.
-  std::size_t analyzer_threads = 1;
 };
 
 enum class AnomalyKind : std::uint8_t { kFlow, kPerformance };
@@ -81,7 +75,8 @@ class AnomalyDetector {
 
   const DetectorConfig& config() const { return config_; }
   std::uint64_t ingested() const { return ingested_; }
-  /// Index of the oldest window a future synopsis can still land in.
+  /// Index of the oldest window a future synopsis can still land in. Right
+  /// after restore_state() it is the restored close cursor.
   std::size_t next_window_to_close() const { return next_window_to_close_; }
 
   // ---- Warm-restart state (checkpoint.h) -----------------------------------
@@ -94,24 +89,23 @@ class AnomalyDetector {
   /// the close cursor, and the ingest count to `out`.
   void save_state(std::vector<std::uint8_t>& out) const;
 
-  /// Replaces (merge = false) or merges in (merge = true: tallies summed,
-  /// cursors maxed — how AnalyzerPool folds per-worker states into one
-  /// canonical state) state produced by save_state(). False on malformed
-  /// input, leaving the detector unchanged. The model is not part of the
-  /// state: the caller restores it first and constructs the detector over it.
-  bool restore_state(std::span<const std::uint8_t> in, bool merge = false);
+  /// Replaces the detector's state with state produced by save_state().
+  /// False on malformed input, leaving the detector unchanged. The model is
+  /// not part of the state: the caller restores it first and constructs the
+  /// detector over it.
+  bool restore_state(std::span<const std::uint8_t> in);
 
-  /// Points classification at a new model. Only legal at a window boundary
-  /// (no ingest since the last advance_to/finish on the windows the swap
-  /// should not affect is *not* required — open windows were classified at
-  /// ingest time under the old model and close with those tallies; only
-  /// synopses ingested after the rebind see the new model). AnalyzerPool
-  /// applies staged swaps here, after the close barrier.
+  /// Points classification at a new model and bumps model_epoch(). Call it
+  /// at a window boundary, right after advance_to()/finish(): open windows
+  /// were classified at ingest time under the old model and close with
+  /// those tallies; only synopses ingested after the rebind see the new
+  /// model. `model` must outlive the detector or the next rebind.
   void rebind_model(const OutlierModel* model);
 
- private:
-  friend class AnalyzerPool;  // splits/merges state across partitions
+  /// Model swaps applied by rebind_model() (construction model = epoch 0).
+  std::uint64_t model_epoch() const { return model_epoch_; }
 
+ private:
   struct SigWindowStats {
     std::uint64_t n = 0;
     std::uint64_t perf_outliers = 0;
@@ -134,6 +128,7 @@ class AnomalyDetector {
   std::map<std::size_t, WindowStats> open_windows_;
   std::size_t next_window_to_close_ = 0;
   std::uint64_t ingested_ = 0;
+  std::uint64_t model_epoch_ = 0;
 };
 
 }  // namespace saad::core

@@ -114,11 +114,10 @@ void Monitor::arm(const DetectorConfig& config) {
   // Drop synopses produced between training and arming.
   std::vector<Synopsis> scratch;
   channel_.drain(scratch);
-  analyzer_ = std::make_unique<AnalyzerPool>(model_.get(), config);
+  analyzer_ = std::make_unique<AnomalyDetector>(model_.get(), config);
   mode_ = Mode::kDetecting;
-  obs::FlightRecorder::global().record(
-      obs::EventKind::kModeChange, "monitor: armed (%zu analyzer threads)",
-      analyzer_->threads());
+  obs::FlightRecorder::global().record(obs::EventKind::kModeChange,
+                                       "monitor: armed");
 }
 
 std::vector<Anomaly> Monitor::poll(UsTime now) {
@@ -154,6 +153,9 @@ std::vector<Anomaly> Monitor::finish() {
 
 namespace {
 constexpr std::uint64_t kMonitorStateVersion = 1;
+// The state keeps the slot that once held the analyzer thread count, so
+// version-1 bytes stay readable: writers store 1 and readers skip it.
+constexpr std::uint64_t kLegacyThreadsSlot = 1;
 }
 
 bool Monitor::save_state(std::vector<std::uint8_t>& out) const {
@@ -170,7 +172,7 @@ bool Monitor::save_state(std::vector<std::uint8_t>& out) const {
   put_varint(config.min_n, out);
   put_varint(config.new_signature_is_anomaly ? 1 : 0, out);
   put_varint(config.bonferroni ? 1 : 0, out);
-  put_varint(config.analyzer_threads, out);
+  put_varint(kLegacyThreadsSlot, out);
   std::vector<std::uint8_t> analyzer_bytes;
   analyzer_->save_state(analyzer_bytes);
   put_varint(analyzer_bytes.size(), out);
@@ -200,14 +202,13 @@ bool Monitor::restore_state(std::span<const std::uint8_t> in) {
   config.new_signature_is_anomaly = v != 0;
   if (!get_varint(in, v) || v > 1) return false;
   config.bonferroni = v != 0;
-  if (!get_varint(in, v)) return false;
-  config.analyzer_threads = static_cast<std::size_t>(v);
+  if (!get_varint(in, v)) return false;  // legacy threads slot, ignored
   if (!get_varint(in, v) || v != in.size()) return false;
 
   // All parsed; build the new plane before touching the monitor, so a
   // malformed analyzer payload leaves the current state intact.
   auto restored = std::make_unique<OutlierModel>(std::move(*model));
-  auto analyzer = std::make_unique<AnalyzerPool>(restored.get(), config);
+  auto analyzer = std::make_unique<AnomalyDetector>(restored.get(), config);
   if (!analyzer->restore_state(in)) return false;
 
   std::vector<Synopsis> scratch;  // arm() discipline: drop the backlog
@@ -216,9 +217,7 @@ bool Monitor::restore_state(std::span<const std::uint8_t> in) {
   analyzer_ = std::move(analyzer);
   mode_ = Mode::kDetecting;
   obs::FlightRecorder::global().record(
-      obs::EventKind::kModeChange,
-      "monitor: restored from checkpoint state (%zu analyzer threads)",
-      analyzer_->threads());
+      obs::EventKind::kModeChange, "monitor: restored from checkpoint state");
   return true;
 }
 

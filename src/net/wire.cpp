@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/crc32c.h"
@@ -88,7 +89,12 @@ bool decode_batch(std::span<const std::uint8_t> payload,
   // Each synopsis encodes to >= 6 bytes; a count beyond what the payload
   // could possibly hold is damage, caught before reserving anything.
   if (count > payload.size()) return false;
-  out.reserve(out.size() + count);
+  // Grow geometrically, not to the exact size: a caller appending many
+  // batches to one vector would otherwise reallocate (and move everything
+  // decoded so far) on every call.
+  const std::size_t need = out.size() + static_cast<std::size_t>(count);
+  if (need > out.capacity())
+    out.reserve(std::max(need, 2 * out.capacity()));
   for (std::uint64_t i = 0; i < count; ++i) {
     core::Synopsis s;
     if (!core::decode_synopsis(payload, s)) return false;

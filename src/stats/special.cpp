@@ -9,7 +9,7 @@ namespace saad::stats {
 namespace {
 
 /// std::lgamma writes the process-global `signgam`, which is a data race
-/// when the analyzer pool runs t-tests on several worker threads at once.
+/// when t-tests run on several threads at once (e.g. one detector each).
 /// All our arguments are positive (gamma > 0), so the sign output is
 /// irrelevant — use the reentrant lgamma_r where available.
 double lgamma_threadsafe(double x) {

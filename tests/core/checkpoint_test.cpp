@@ -3,11 +3,10 @@
 //    truncation and every byte-level corruption of an encoded checkpoint;
 //  * CheckpointDir newest-valid fallback — a torn newest file falls back to
 //    the previous checkpoint, counted in saad_checkpoint_corrupt_total;
-//  * detector/pool state canonicality: the same stream saved at any thread
-//    count encodes identical bytes, and save -> crash -> restore -> continue
+//  * detector state canonicality: save -> restore -> save round-trips
+//    bit-identically, and save -> checkpoint -> crash -> restore -> continue
 //    produces verdicts byte-identical to an uninterrupted run;
-//  * hot model swaps apply exactly at a window boundary, deterministically
-//    across thread counts.
+//  * hot model swaps apply exactly at a window boundary.
 #include "core/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/analyzer_pool.h"
 #include "core/log_registry.h"
 #include "core/monitor.h"
 #include "obs/metrics.h"
@@ -298,7 +296,7 @@ TEST(CheckpointDir, TornNewestFallsBackToPreviousLoudly) {
   EXPECT_EQ(dir.max_sequence(), 2u);
 }
 
-// ---- Detector / pool state ------------------------------------------------
+// ---- Detector state -------------------------------------------------------
 
 TEST(DetectorState, SaveRestoreRoundTripsCanonically) {
   const auto model = OutlierModel::train(make_trace(11, 20000, 0.002, 0.005));
@@ -340,30 +338,7 @@ TEST(DetectorState, MalformedInputLeavesDetectorUnchanged) {
   }
 }
 
-TEST(PoolState, BytesIdenticalAcrossThreadCounts) {
-  const auto model = OutlierModel::train(make_trace(11, 20000, 0.002, 0.005));
-  const auto stream = make_trace(12, 8000, 0.05, 0.08);
-  DetectorConfig config;
-  config.window = sec(5);
-
-  std::vector<std::uint8_t> serial_bytes;
-  {
-    config.analyzer_threads = 1;
-    AnalyzerPool pool(&model, config);
-    for (const auto& s : stream) pool.ingest(s);
-    pool.save_state(serial_bytes);
-  }
-  for (std::size_t threads : {2u, 4u}) {
-    config.analyzer_threads = threads;
-    AnalyzerPool pool(&model, config);
-    for (const auto& s : stream) pool.ingest(s);
-    std::vector<std::uint8_t> bytes;
-    pool.save_state(bytes);
-    EXPECT_EQ(bytes, serial_bytes) << "threads=" << threads;
-  }
-}
-
-TEST(PoolState, ResumeMatchesUninterruptedAcrossThreadCounts) {
+TEST(DetectorState, ResumeMatchesUninterruptedFromCheckpoint) {
   const auto model = OutlierModel::train(make_trace(11, 20000, 0.002, 0.005));
   const auto stream = make_trace(12, 12000, 0.05, 0.08);
   const std::size_t half = stream.size() / 2;
@@ -374,49 +349,49 @@ TEST(PoolState, ResumeMatchesUninterruptedAcrossThreadCounts) {
   config.window = sec(2);
 
   // Golden: one uninterrupted run with a mid-stream close barrier.
-  config.analyzer_threads = 1;
   std::string golden;
   {
-    AnalyzerPool pool(&model, config);
-    for (std::size_t i = 0; i < half; ++i) pool.ingest(stream[i]);
-    golden += dump(pool.advance_to(stream[half].start));
-    for (std::size_t i = half; i < stream.size(); ++i) pool.ingest(stream[i]);
-    golden += dump(pool.finish());
+    AnomalyDetector detector(&model, config);
+    for (std::size_t i = 0; i < half; ++i) detector.ingest(stream[i]);
+    golden += dump(detector.advance_to(stream[half].start));
+    for (std::size_t i = half; i < stream.size(); ++i)
+      detector.ingest(stream[i]);
+    golden += dump(detector.finish());
   }
   ASSERT_FALSE(golden.empty());
 
-  // Crash after the mid-stream barrier, restore under a different thread
-  // count, continue: the combined verdicts must be byte-identical.
-  for (const auto& [save_threads, resume_threads] :
-       {std::pair<std::size_t, std::size_t>{1, 4}, {4, 1}, {4, 2}}) {
-    std::string combined;
-    std::vector<std::uint8_t> saved;
-    std::size_t resumed_next = 0;
-    {
-      config.analyzer_threads = save_threads;
-      AnalyzerPool pool(&model, config);
-      for (std::size_t i = 0; i < half; ++i) pool.ingest(stream[i]);
-      combined += dump(pool.advance_to(stream[half].start));
-      pool.save_state(saved);
-      // SIGKILL here: the pool is dropped without finish().
-    }
-    {
-      config.analyzer_threads = resume_threads;
-      AnalyzerPool pool(&model, config);
-      ASSERT_TRUE(pool.restore_state(saved));
-      resumed_next = pool.restored_next_window();
-      for (std::size_t i = half; i < stream.size(); ++i)
-        pool.ingest(stream[i]);
-      combined += dump(pool.finish());
-    }
-    EXPECT_EQ(combined, golden)
-        << "save_threads=" << save_threads
-        << " resume_threads=" << resume_threads;
-    EXPECT_GT(resumed_next, 0u);  // mid-stream: some windows already closed
+  // Crash after the mid-stream barrier. The state travels through a
+  // SAADCKP1 checkpoint whose advisory meta says threads=4, as checkpoints
+  // written by the former thread pool do; the reader must ignore it.
+  testutil::TempDir tmp;
+  const std::string path = tmp.path("ckpt");
+  std::string combined;
+  {
+    AnomalyDetector detector(&model, config);
+    for (std::size_t i = 0; i < half; ++i) detector.ingest(stream[i]);
+    combined += dump(detector.advance_to(stream[half].start));
+    Checkpoint c;
+    c.sequence = 1;
+    c.window = config.window;
+    c.threads = 4;
+    c.ingested = half;
+    detector.save_state(c.analyzer);
+    ASSERT_TRUE(write_checkpoint_file(path, c));
+    // SIGKILL here: the detector is dropped without finish().
   }
+  const auto back = read_checkpoint_file(path);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->threads, 4u);
+  AnomalyDetector resumed(&model, config);
+  ASSERT_TRUE(resumed.restore_state(back->analyzer));
+  EXPECT_EQ(resumed.ingested(), half);
+  EXPECT_GT(resumed.next_window_to_close(), 0u);  // windows already closed
+  for (std::size_t i = half; i < stream.size(); ++i) resumed.ingest(stream[i]);
+  combined += dump(resumed.finish());
+  EXPECT_EQ(combined, golden);
 }
 
-TEST(PoolState, ModelSwapAppliesAtWindowBoundary) {
+TEST(DetectorState, ModelSwapAppliesAtWindowBoundary) {
   const auto model_a =
       OutlierModel::train(make_trace(11, 20000, 0.002, 0.005));
   const auto model_b =
@@ -426,39 +401,27 @@ TEST(PoolState, ModelSwapAppliesAtWindowBoundary) {
   DetectorConfig config;
   config.window = sec(5);
 
-  auto run = [&](std::size_t threads) {
-    config.analyzer_threads = threads;
-    AnalyzerPool pool(&model_a, config);
+  auto run = [&](bool swap) {
+    AnomalyDetector detector(&model_a, config);
     std::string out;
-    for (std::size_t i = 0; i < half; ++i) pool.ingest(stream[i]);
-    // Staged mid-stream: nothing changes until the next boundary.
-    pool.swap_model(&model_b);
-    EXPECT_EQ(pool.model_epoch(), 0u);
-    out += dump(pool.advance_to(stream[half].start));
-    EXPECT_EQ(pool.model_epoch(), 1u);  // applied at the barrier
-    for (std::size_t i = half; i < stream.size(); ++i) pool.ingest(stream[i]);
-    out += dump(pool.finish());
-    EXPECT_EQ(pool.model_epoch(), 1u);  // no re-apply without a new stage
+    for (std::size_t i = 0; i < half; ++i) detector.ingest(stream[i]);
+    out += dump(detector.advance_to(stream[half].start));
+    EXPECT_EQ(detector.model_epoch(), 0u);
+    // Applied right after the close, as serve applies a staged reload.
+    if (swap) detector.rebind_model(&model_b);
+    EXPECT_EQ(detector.model_epoch(), swap ? 1u : 0u);
+    for (std::size_t i = half; i < stream.size(); ++i)
+      detector.ingest(stream[i]);
+    out += dump(detector.finish());
     return out;
   };
 
-  const std::string serial = run(1);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(run(2), serial);
-  EXPECT_EQ(run(4), serial);
-
+  const std::string swapped = run(true);
+  ASSERT_FALSE(swapped.empty());
   // The swap is observable: the same stream without it verdicts differently
   // (model B was trained noisier, so post-swap windows test against
   // different baselines).
-  config.analyzer_threads = 1;
-  AnalyzerPool no_swap(&model_a, config);
-  std::string unswapped;
-  for (std::size_t i = 0; i < half; ++i) no_swap.ingest(stream[i]);
-  unswapped += dump(no_swap.advance_to(stream[half].start));
-  for (std::size_t i = half; i < stream.size(); ++i)
-    no_swap.ingest(stream[i]);
-  unswapped += dump(no_swap.finish());
-  EXPECT_NE(unswapped, serial);
+  EXPECT_NE(run(false), swapped);
 }
 
 // ---- Monitor --------------------------------------------------------------

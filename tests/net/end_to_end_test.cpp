@@ -2,8 +2,8 @@
 // synopsis stream delivered over a real loopback TCP connection
 // (SynopsisClient -> SAADNET1 frames -> SynopsisServer -> SynopsisChannel)
 // must arrive bit-identical and in order, and analyzer verdicts computed on
-// the delivered stream must match the in-process pipeline byte for byte at
-// any thread count — the wire must be invisible to detection.
+// the delivered stream must match the in-process pipeline byte for byte —
+// the wire must be invisible to detection.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/analyzer_pool.h"
 #include "core/channel.h"
+#include "core/detector.h"
 #include "net/client.h"
 #include "net/server.h"
 
@@ -22,13 +22,13 @@ namespace saad::net {
 namespace {
 
 using core::Anomaly;
-using core::AnalyzerPool;
+using core::AnomalyDetector;
 using core::DetectorConfig;
 using core::OutlierModel;
 using core::Synopsis;
 
-/// Full-precision serialization (same as the analyzer_pool golden test):
-/// any drift in value, order, or count shows up as a string diff.
+/// Full-precision serialization (same as the checkpoint suite's): any drift
+/// in value, order, or count shows up as a string diff.
 std::string dump(const std::vector<Anomaly>& anomalies) {
   std::string out;
   char line[256];
@@ -121,19 +121,19 @@ std::vector<Synopsis> loopback_roundtrip(const std::vector<Synopsis>& stream,
   return received;
 }
 
-/// Replays `stream` through an AnalyzerPool with a mid-stream advance_to
+/// Replays `stream` through an AnomalyDetector with a mid-stream advance_to
 /// plus a finish (the way Monitor::poll drives it) and dumps the verdicts.
-std::string run_pool(const OutlierModel& model, std::size_t threads,
-                     const std::vector<Synopsis>& stream) {
+std::string run_detector(const OutlierModel& model,
+                         const std::vector<Synopsis>& stream) {
   DetectorConfig config;
   config.window = sec(5);
-  config.analyzer_threads = threads;
-  AnalyzerPool pool(&model, config);
+  AnomalyDetector detector(&model, config);
   const std::size_t half = stream.size() / 2;
-  for (std::size_t i = 0; i < half; ++i) pool.ingest(stream[i]);
-  std::string out = dump(pool.advance_to(stream[half].start));
-  for (std::size_t i = half; i < stream.size(); ++i) pool.ingest(stream[i]);
-  out += dump(pool.finish());
+  for (std::size_t i = 0; i < half; ++i) detector.ingest(stream[i]);
+  std::string out = dump(detector.advance_to(stream[half].start));
+  for (std::size_t i = half; i < stream.size(); ++i)
+    detector.ingest(stream[i]);
+  out += dump(detector.finish());
   return out;
 }
 
@@ -164,14 +164,14 @@ TEST(NetEndToEnd, LoopbackDeliveryIsBitIdenticalAndOrdered) {
   EXPECT_EQ(stats.shed_synopses, 0u);
 }
 
-TEST(NetEndToEnd, VerdictsMatchInProcessDetectAtAnyThreadCount) {
+TEST(NetEndToEnd, VerdictsMatchInProcessDetect) {
   const auto training = make_trace(11, 20000, 0.002, 0.005);
   const auto model = OutlierModel::train(training);
   // Elevated rare-signature and stretched-duration rates so both the flow
   // and the performance tests fire — an empty golden would be vacuous.
   const auto stream = make_trace(12, 20000, 0.05, 0.08);
 
-  const std::string in_process = run_pool(model, 1, stream);
+  const std::string in_process = run_detector(model, stream);
   ASSERT_FALSE(in_process.empty())
       << "workload produced no anomalies — the golden comparison is vacuous";
 
@@ -180,10 +180,7 @@ TEST(NetEndToEnd, VerdictsMatchInProcessDetectAtAnyThreadCount) {
   ASSERT_EQ(received.size(), stream.size());
   EXPECT_EQ(stats.shed_synopses, 0u);
 
-  for (std::size_t threads : {1u, 4u}) {
-    EXPECT_EQ(run_pool(model, threads, received), in_process)
-        << "threads=" << threads;
-  }
+  EXPECT_EQ(run_detector(model, received), in_process);
 }
 
 }  // namespace

@@ -221,6 +221,27 @@ TEST(WirePayloads, ParsersRejectGarbageWithoutCrashing) {
   EXPECT_TRUE(batch.empty());
 }
 
+TEST(WirePayloads, AppendingManyBatchesGrowsGeometrically) {
+  Rng rng(5);
+  std::vector<Synopsis> small(3);
+  for (auto& s : small) s = sample_synopsis(rng);
+  std::vector<std::uint8_t> payload;
+  encode_batch(small, payload);
+
+  constexpr std::size_t kBatches = 1000;
+  std::vector<Synopsis> all;
+  std::size_t capacity_changes = 0;
+  for (std::size_t i = 0; i < kBatches; ++i) {
+    const std::size_t before = all.capacity();
+    ASSERT_TRUE(decode_batch(payload, all));
+    if (all.capacity() != before) ++capacity_changes;
+  }
+  ASSERT_EQ(all.size(), kBatches * small.size());
+  // Doubling reaches 3000 elements in ~log2(3000) = 12 steps; an exact-size
+  // reserve per call would reallocate on all 1000 appends.
+  EXPECT_LE(capacity_changes, 16u);
+}
+
 // ---- server level ----------------------------------------------------------
 
 class ServerCorruption : public ::testing::Test {

@@ -43,7 +43,6 @@
 #include <thread>
 
 #include "common/table.h"
-#include "core/analyzer_pool.h"
 #include "core/checkpoint.h"
 #include "core/report_html.h"
 #include "core/saad.h"
@@ -72,7 +71,6 @@ struct Args {
   bool stats = false;       // detect/serve: live per-window summaries
   long long run_minutes = 6;
   long long window_sec = 60;
-  long long threads = 1;  // analyzer threads for detect/serve (0 = all cores)
   std::uint64_t seed = 1;
   // serve
   long long listen = -1;      // TCP port (0 = ephemeral); -1 = not given
@@ -144,8 +142,15 @@ Args parse(int argc, char** argv) {
       args.run_minutes = parse_int_range(v, "minutes", 1, 7 * 24 * 60);
     if (auto v = value("window-sec"); !v.empty())
       args.window_sec = parse_int_range(v, "window-sec", 1, 86400);
-    if (auto v = value("threads"); !v.empty())
-      args.threads = parse_int_range(v, "threads", 0, 1024);
+    // Accepted so scripts written for the old thread pool keep working;
+    // the analyzer is one serial detector, so 1 is the only valid value.
+    if (auto v = value("threads"); !v.empty() && parse_int(v, "threads") != 1) {
+      std::fprintf(stderr,
+                   "invalid --threads=%s: the analyzer is single-threaded "
+                   "(only --threads=1 is accepted)\n",
+                   v.c_str());
+      std::exit(2);
+    }
     if (auto v = value("seed"); !v.empty())
       args.seed = static_cast<std::uint64_t>(parse_int(v, "seed"));
     if (auto v = value("listen"); !v.empty())
@@ -233,9 +238,8 @@ class LiveStats {
     return watermark_ > 2 * window_ ? watermark_ - 2 * window_ : 0;
   }
 
-  /// True once `safe` closes a window not yet reported. Gates advance_to():
-  /// in the threaded pool it is a full flush + merge barrier, so it should
-  /// run once per window, not once per synopsis.
+  /// True once `safe` closes a window not yet reported. Gates advance_to()
+  /// so it runs once per window, not once per synopsis.
   bool window_ready(UsTime safe) const {
     return static_cast<UsTime>(next_window_ + 1) * window_ <= safe;
   }
@@ -478,9 +482,7 @@ int cmd_detect(const Args& args) {
 
   core::DetectorConfig config;
   config.window = sec(args.window_sec);
-  config.analyzer_threads =
-      args.threads < 0 ? 1 : static_cast<std::size_t>(args.threads);
-  core::AnalyzerPool analyzer(&*model, config);
+  core::AnomalyDetector analyzer(&*model, config);
   // True streaming: synopses flow from disk block-by-block into the
   // analyzer, so detection memory is O(block) + O(open windows), not
   // O(trace).
@@ -549,7 +551,7 @@ void on_reload_signal(int) { g_reload_requested = 1; }
 
 // Runs the analyzer as a network service: SynopsisServer decodes SAADNET1
 // frames into the sharded channel, and this (consumer) loop drains the
-// channel into the AnalyzerPool — exactly the in-process pipeline, with a
+// channel into the AnomalyDetector — exactly the in-process pipeline, with a
 // wire in the middle. Output format matches `detect`, so the loopback
 // acceptance can diff the two verbatim.
 int cmd_serve(const Args& args) {
@@ -568,7 +570,7 @@ int cmd_serve(const Args& args) {
     return 1;
   }
   // The active model lives on the heap so a SIGHUP hot swap can stage a new
-  // one and retire this one only after the pool switched over.
+  // one and retire this one only after the detector switched over.
   auto active_model =
       std::make_unique<core::OutlierModel>(std::move(*loaded));
   core::LogRegistry registry;
@@ -585,8 +587,6 @@ int cmd_serve(const Args& args) {
 
   core::DetectorConfig config;
   config.window = sec(args.window_sec);
-  config.analyzer_threads =
-      args.threads < 0 ? 1 : static_cast<std::size_t>(args.threads);
 
   // Warm restart: before the listener opens, adopt the newest valid
   // checkpoint (torn or corrupt candidates are skipped loudly). The
@@ -639,7 +639,7 @@ int cmd_serve(const Args& args) {
     }
   }
 
-  core::AnalyzerPool analyzer(active_model.get(), config);
+  core::AnomalyDetector analyzer(active_model.get(), config);
   std::vector<core::Anomaly> anomalies;
   std::size_t ingested = 0;
   if (resumed) {
@@ -673,8 +673,7 @@ int cmd_serve(const Args& args) {
     std::fprintf(stderr, "serve: cannot listen on port %lld\n", args.listen);
     return 1;
   }
-  std::fprintf(stderr, "serve: listening on 127.0.0.1:%u (threads=%lld)\n",
-               server.port(), args.threads);
+  std::fprintf(stderr, "serve: listening on 127.0.0.1:%u\n", server.port());
   if (!args.port_file.empty()) {
     std::ofstream pf(args.port_file, std::ios::trunc);
     pf << server.port() << "\n";
@@ -704,7 +703,7 @@ int cmd_serve(const Args& args) {
   // serve.
   const bool progressive = args.stats || checkpointing || tracing;
   LiveStats live(config.window, args.stats);
-  live.resume_from(analyzer.restored_next_window());
+  live.resume_from(analyzer.next_window_to_close());
   std::vector<core::Synopsis> batch;
   std::uint64_t drained_total = 0;  // synopses drained: publish coordinates
 
@@ -730,18 +729,17 @@ int cmd_serve(const Args& args) {
                                           std::memory_order_relaxed);
   const auto started_steady = std::chrono::steady_clock::now();
 
-  // Hot model reload: SIGHUP stages, the pool applies at the next window
-  // boundary, and adopt_model() then retires the previous model. staged
-  // must outlive the apply (the pool holds a raw pointer until then).
+  // Hot model reload: SIGHUP stages a model, and apply_staged_model() swaps
+  // it in right after the next advance_to()/finish() — a window boundary —
+  // then retires the previous model. Staging twice before a boundary keeps
+  // only the newest model (one epoch bump).
   std::unique_ptr<core::OutlierModel> staged_model;
   std::vector<std::uint8_t> staged_model_bytes;
-  std::uint64_t adopted_epoch = analyzer.model_epoch();
-  auto adopt_model = [&] {
-    if (staged_model && analyzer.model_epoch() != adopted_epoch) {
-      adopted_epoch = analyzer.model_epoch();
-      active_model = std::move(staged_model);
-      *model_bytes = std::move(staged_model_bytes);
-    }
+  auto apply_staged_model = [&] {
+    if (!staged_model) return;
+    analyzer.rebind_model(staged_model.get());
+    active_model = std::move(staged_model);
+    *model_bytes = std::move(staged_model_bytes);
   };
   auto handle_reload = [&] {
     auto bytes = read_file(args.model);
@@ -753,9 +751,7 @@ int cmd_serve(const Args& args) {
                    args.model.c_str());
       return;
     }
-    auto fresh = std::make_unique<core::OutlierModel>(std::move(*m));
-    analyzer.swap_model(fresh.get());
-    staged_model = std::move(fresh);  // frees any not-yet-applied staging
+    staged_model = std::make_unique<core::OutlierModel>(std::move(*m));
     staged_model_bytes = std::move(*bytes);
     std::fprintf(stderr,
                  "serve: reload: staged %s (%zu stages); swaps in at the "
@@ -774,7 +770,7 @@ int cmd_serve(const Args& args) {
     c.sequence = next_sequence;
     c.model_epoch = analyzer.model_epoch();
     c.window = config.window;
-    c.threads = analyzer.threads();
+    c.threads = 1;  // advisory meta field; the analyzer is serial
     c.ingested = ingested;
     c.published = server.stats().published;
     c.acked = acked_total;
@@ -821,7 +817,7 @@ int cmd_serve(const Args& args) {
       if (live.window_ready(safe)) {
         auto closed = analyzer.advance_to(safe);
         tracer.on_window_close(drained_total);
-        adopt_model();
+        apply_staged_model();
         live.absorb(closed);
         anomalies.insert(anomalies.end(),
                          std::make_move_iterator(closed.begin()),
@@ -1021,7 +1017,7 @@ int cmd_serve(const Args& args) {
   // finish() closes every window still open, so spans waiting on the close
   // and emit hops complete here.
   tracer.on_window_close(drained_total);
-  adopt_model();
+  apply_staged_model();
   if (args.stats) {
     live.absorb(tail);
     live.report_rest();
@@ -1250,7 +1246,7 @@ int main(int argc, char** argv) {
         "[--trace=] [--model=] [--registry=] [--html=] "
         "[--system=cassandra|hbase] "
         "[--fault=error-wal|delay-wal|error-flush|delay-flush] "
-        "[--minutes=N] [--window-sec=N] [--threads=N] [--seed=N] "
+        "[--minutes=N] [--window-sec=N] [--threads=1] [--seed=N] "
         "[--metrics-out=<file>] [--stats] "
         "[--listen=PORT] [--port-file=<file>] [--once] "
         "[--checkpoint-dir=<dir>] [--checkpoint-every=N] "
