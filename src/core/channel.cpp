@@ -86,8 +86,7 @@ void SynopsisChannel::push(const Synopsis& s) {
     std::lock_guard lock(shard.mu);
     shard.items.push_back(s);
   }
-  pushed_.fetch_add(1, std::memory_order_relaxed);
-  encoded_bytes_.fetch_add(wire, std::memory_order_relaxed);
+  note_pushed(1, wire);
   if constexpr (obs::kMetricsEnabled) {
     auto& metrics = ChannelMetrics::get();
     metrics.enqueued.inc();
@@ -108,8 +107,7 @@ void SynopsisChannel::push_batch(std::size_t shard_index,
                        std::make_move_iterator(batch.begin()),
                        std::make_move_iterator(batch.end()));
   }
-  pushed_.fetch_add(batch.size(), std::memory_order_relaxed);
-  encoded_bytes_.fetch_add(wire, std::memory_order_relaxed);
+  note_pushed(batch.size(), wire);
   if constexpr (obs::kMetricsEnabled) {
     auto& metrics = ChannelMetrics::get();
     metrics.enqueued.inc(batch.size());
@@ -118,6 +116,31 @@ void SynopsisChannel::push_batch(std::size_t shard_index,
     metrics.depth(shard_index).add(static_cast<std::int64_t>(batch.size()));
   }
   batch.clear();
+}
+
+void SynopsisChannel::note_pushed(std::size_t n, std::uint64_t wire) {
+  encoded_bytes_.fetch_add(wire, std::memory_order_relaxed);
+  // Sequentially consistent pair with wait_for_push(): either this load
+  // sees the parked waiter, or the waiter's predicate sees the new count.
+  pushed_.fetch_add(n, std::memory_order_seq_cst);
+  if (waiters_.load(std::memory_order_seq_cst) == 0) return;
+  std::lock_guard lock(wait_mu_);
+  wait_cv_.notify_one();
+}
+
+bool SynopsisChannel::wait_for_push(std::uint64_t seen,
+                                    std::chrono::microseconds timeout) {
+  if (pushed_.load(std::memory_order_acquire) != seen) return true;
+  // pushed_ changes outside wait_mu_, yet no wake is lost: a producer that
+  // sees waiters_ != 0 takes wait_mu_ before notifying, and this thread
+  // holds it from the increment until wait_for() parks.
+  std::unique_lock lock(wait_mu_);
+  waiters_.fetch_add(1, std::memory_order_seq_cst);
+  const bool pushed = wait_cv_.wait_for(lock, timeout, [&] {
+    return pushed_.load(std::memory_order_seq_cst) != seen;
+  });
+  waiters_.fetch_sub(1, std::memory_order_relaxed);
+  return pushed;
 }
 
 void SynopsisChannel::drain(std::vector<Synopsis>& out) {
@@ -177,6 +200,11 @@ SynopsisChannel::Producer::Producer(Producer&& other) noexcept
 
 void SynopsisChannel::Producer::push(const Synopsis& s) {
   buffer_.push_back(s);
+  if (buffer_.size() >= kBatch) flush();
+}
+
+void SynopsisChannel::Producer::push(Synopsis&& s) {
+  buffer_.push_back(std::move(s));
   if (buffer_.size() >= kBatch) flush();
 }
 

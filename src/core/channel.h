@@ -19,6 +19,11 @@
 // the interleaving *between* producers is unspecified (exactly what a
 // concurrent channel already implied).
 //
+// The consumer can park in wait_for_push() instead of polling on a timer:
+// a producer that makes synopses visible notifies a condition variable,
+// but only while a waiter is parked, so an unwatched channel costs its
+// producers one atomic load per push or flush.
+//
 // The channel also keeps wire-volume accounting (encoded bytes), which the
 // Fig. 8 storage-overhead bench reads. Counters are updated when a synopsis
 // becomes visible to drain() (i.e. at direct push or at Producer flush), so
@@ -26,6 +31,8 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -55,6 +62,7 @@ class SynopsisChannel {
     Producer& operator=(const Producer&) = delete;
 
     void push(const Synopsis& s);
+    void push(Synopsis&& s);
     void flush();
 
    private:
@@ -72,6 +80,13 @@ class SynopsisChannel {
   /// Moves all queued synopses into `out` (appended), splicing shards in
   /// shard-index order. Single consumer.
   void drain(std::vector<Synopsis>& out);
+
+  /// Single consumer: blocks until pushed() differs from `seen` (a direct
+  /// push or a Producer flush has landed since the caller read pushed()) or
+  /// `timeout` passes. Returns whether something was pushed. Read pushed()
+  /// before drain() and pass that value, so a push that lands between the
+  /// drain and the wait is not slept through.
+  bool wait_for_push(std::uint64_t seen, std::chrono::microseconds timeout);
 
   /// Lifetime totals over everything made visible so far (Fig. 8 reads
   /// encoded_bytes() as the stream's wire volume).
@@ -91,10 +106,19 @@ class SynopsisChannel {
   /// Moves `batch` into `shard` under its mutex and bumps the counters.
   void push_batch(std::size_t shard, std::vector<Synopsis>& batch);
 
+  /// Counts `n` newly visible synopses and wakes a parked wait_for_push().
+  void note_pushed(std::size_t n, std::uint64_t wire);
+
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::size_t> next_producer_shard_{0};
   std::atomic<std::uint64_t> pushed_{0};
   std::atomic<std::uint64_t> encoded_bytes_{0};
+
+  // wait_for_push(): producers take wait_mu_ to notify only while waiters_
+  // is non-zero.
+  std::mutex wait_mu_;
+  std::condition_variable wait_cv_;
+  std::atomic<std::uint32_t> waiters_{0};
 };
 
 }  // namespace saad::core

@@ -10,7 +10,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -40,10 +39,8 @@ struct ServerMetrics {
   obs::Counter& frame_rejects;
   obs::Counter& payload_rejects;
   obs::Counter& truncated;
-  obs::Counter& shed_batches;
-  obs::Counter& shed_synopses;
+  obs::Counter& read_pauses;
   obs::Gauge& active;
-  obs::Gauge& pending;
 
   ServerMetrics()
       : connections(obs::MetricsRegistry::global().counter(
@@ -93,17 +90,13 @@ struct ServerMetrics {
         truncated(obs::MetricsRegistry::global().counter(
             "saad_net_truncated_total",
             "Connections that disconnected mid-frame.")),
-        shed_batches(obs::MetricsRegistry::global().counter(
-            "saad_net_shed_batches_total",
-            "Oldest pending batches shed under overload.")),
-        shed_synopses(obs::MetricsRegistry::global().counter(
-            "saad_net_shed_synopses_total",
-            "Synopses lost to overload sheds.")),
+        read_pauses(obs::MetricsRegistry::global().counter(
+            "saad_net_read_pauses_total",
+            "Times the server stopped reading its connections because the "
+            "analyzer backlog reached max_outstanding_synopses "
+            "(backpressure).")),
         active(obs::MetricsRegistry::global().gauge(
-            "saad_net_connections_active", "Currently open connections.")),
-        pending(obs::MetricsRegistry::global().gauge(
-            "saad_net_pending_batches",
-            "Decoded batches waiting to be published.")) {}
+            "saad_net_connections_active", "Currently open connections.")) {}
 
   static ServerMetrics& get() {
     static ServerMetrics* metrics = new ServerMetrics();
@@ -128,33 +121,27 @@ bool set_nonblocking(int fd) {
 void detail::register_server_metrics() { ServerMetrics::get(); }
 
 struct SynopsisServer::Connection {
-  int fd = -1;
+  int fd = -1;  // -1 once closed; the I/O loop then erases it
   FrameDecoder decoder;  // expects the stream magic
   bool got_hello = false;
   std::uint64_t synopses = 0;  // decoded on this connection
 };
 
 struct SynopsisServer::Impl {
-  // A decoded batch waiting to be published, with the span token the tracer
-  // issued at decode (0 = batch not sampled).
-  struct PendingBatch {
-    std::vector<core::Synopsis> synopses;
-    std::uint64_t span_token = 0;
-  };
-
   int listen_fd = -1;
-  int wake_rd = -1, wake_wr = -1;  // self-pipe: stop() wakes poll()
+  // Self-pipe: stop() and ack() wake poll(). It lives as long as the server
+  // so an ack() never writes to a closed (or reused) descriptor.
+  int wake_rd = -1, wake_wr = -1;
   std::vector<std::unique_ptr<Connection>> connections;
-  std::deque<PendingBatch> pending;  // decoded, unpublished
   std::vector<std::uint8_t> recv_buf;
+  std::vector<core::Synopsis> batch;  // decode target, reused per frame
   std::optional<core::SynopsisChannel::Producer> producer;
 
   // stats() is cross-thread; the I/O thread updates these relaxed.
   std::atomic<std::uint64_t> connections_total{0}, connections_rejected{0},
       frames{0}, batches{0}, synopses{0}, bytes{0}, heartbeats{0}, goodbyes{0},
       goodbye_mismatches{0}, crc_rejects{0}, magic_rejects{0}, frame_rejects{0},
-      payload_rejects{0}, truncated{0}, shed_batches{0}, shed_synopses{0};
-  std::atomic<std::size_t> pending_batches{0};
+      payload_rejects{0}, truncated{0}, read_pauses{0};
 };
 
 SynopsisServer::SynopsisServer(core::SynopsisChannel* channel, Options options)
@@ -162,10 +149,14 @@ SynopsisServer::SynopsisServer(core::SynopsisChannel* channel, Options options)
       options_(std::move(options)),
       impl_(std::make_unique<Impl>()) {
   ServerMetrics::get();  // register families even if start() never runs
-  impl_->recv_buf.resize(64 * 1024);
+  impl_->recv_buf.resize(kRecvBufferBytes);
 }
 
-SynopsisServer::~SynopsisServer() { stop(); }
+SynopsisServer::~SynopsisServer() {
+  stop();
+  close_quietly(impl_->wake_rd);
+  close_quietly(impl_->wake_wr);
+}
 
 bool SynopsisServer::start() {
   if (running()) return true;
@@ -192,14 +183,17 @@ bool SynopsisServer::start() {
   }
   port_ = ntohs(addr.sin_port);
 
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    close_quietly(im.listen_fd);
-    return false;
+  if (im.wake_rd < 0) {
+    int pipe_fds[2];
+    if (::pipe(pipe_fds) != 0) {
+      close_quietly(im.listen_fd);
+      return false;
+    }
+    im.wake_rd = pipe_fds[0];
+    im.wake_wr = pipe_fds[1];
+    set_nonblocking(im.wake_rd);
+    set_nonblocking(im.wake_wr);  // a full pipe already means "wake up"
   }
-  im.wake_rd = pipe_fds[0];
-  im.wake_wr = pipe_fds[1];
-  set_nonblocking(im.wake_rd);
 
   im.producer.emplace(channel_->producer());
   stopping_.store(false, std::memory_order_release);
@@ -214,20 +208,22 @@ void SynopsisServer::stop() {
   const char byte = 0;
   [[maybe_unused]] const auto n = ::write(impl_->wake_wr, &byte, 1);
   if (thread_.joinable()) thread_.join();
-  // The fds are closed here, not in io_loop(): a concurrent stop() caller
-  // reads wake_wr, so only the thread that joined may invalidate them.
+  // The wake pipe stays open until the destructor (see Impl).
   close_quietly(impl_->listen_fd);
-  close_quietly(impl_->wake_rd);
-  close_quietly(impl_->wake_wr);
   running_.store(false, std::memory_order_release);
 }
 
 void SynopsisServer::ack(std::uint64_t n) {
-  acked_.fetch_add(n, std::memory_order_relaxed);
-}
-
-bool SynopsisServer::drained() const {
-  return impl_->pending_batches.load(std::memory_order_acquire) == 0;
+  // Sequentially consistent pair with the I/O thread's pause (set
+  // wake_on_ack_, then re-read acked_): either it sees this ack and does
+  // not sleep, or this load sees the flag and wakes it.
+  acked_.fetch_add(n, std::memory_order_seq_cst);
+  if (!wake_on_ack_.load(std::memory_order_seq_cst) ||
+      outstanding() >= options_.max_outstanding_synopses ||
+      !wake_on_ack_.exchange(false, std::memory_order_seq_cst))
+    return;
+  const char byte = 0;
+  [[maybe_unused]] const auto w = ::write(impl_->wake_wr, &byte, 1);
 }
 
 SynopsisServer::Stats SynopsisServer::stats() const {
@@ -250,14 +246,14 @@ SynopsisServer::Stats SynopsisServer::stats() const {
   s.frame_rejects = im.frame_rejects.load(std::memory_order_relaxed);
   s.payload_rejects = im.payload_rejects.load(std::memory_order_relaxed);
   s.truncated = im.truncated.load(std::memory_order_relaxed);
-  s.shed_batches = im.shed_batches.load(std::memory_order_relaxed);
-  s.shed_synopses = im.shed_synopses.load(std::memory_order_relaxed);
+  s.read_pauses = im.read_pauses.load(std::memory_order_relaxed);
   return s;
 }
 
 void SynopsisServer::io_loop() {
   Impl& im = *impl_;
   auto& metrics = ServerMetrics::get();
+  const std::uint64_t watermark = options_.max_outstanding_synopses;
 
   auto bump = [](std::atomic<std::uint64_t>& stat, obs::Counter& counter,
                  std::uint64_t n = 1) {
@@ -265,20 +261,18 @@ void SynopsisServer::io_loop() {
     counter.inc(n);
   };
 
-  // Closes a connection and attributes the end to the right counters.
-  auto close_connection = [&](std::size_t index, bool count_truncation) {
-    Connection& conn = *im.connections[index];
+  // Closes a connection and attributes the end to the right counters; the
+  // entry is erased after the service pass. Everything the connection
+  // carried is already published, so the release on sessions_ hands the
+  // consumer a complete session.
+  auto close_connection = [&](Connection& conn, bool count_truncation) {
     if (count_truncation && conn.decoder.mid_frame())
       bump(im.truncated, metrics.truncated);
     if (conn.got_hello) {
-      sessions_.fetch_add(1, std::memory_order_relaxed);
+      sessions_.fetch_add(1, std::memory_order_release);
       metrics.sessions.inc();
     }
     close_quietly(conn.fd);
-    im.connections.erase(im.connections.begin() +
-                         static_cast<std::ptrdiff_t>(index));
-    active_.store(im.connections.size(), std::memory_order_relaxed);
-    metrics.active.set(static_cast<std::int64_t>(im.connections.size()));
   };
 
   // Attributes a wire decode error to its reject family.
@@ -300,43 +294,23 @@ void SynopsisServer::io_loop() {
     }
   };
 
-  // Publishes pending batches while under the outstanding watermark. The
-  // Producer is bound to one channel shard, so publish order is FIFO.
-  auto publish_ready = [&] {
-    while (!im.pending.empty()) {
-      const std::uint64_t batch_size = im.pending.front().synopses.size();
-      if (outstanding() + batch_size > options_.max_outstanding_synopses &&
-          batch_size <= options_.max_outstanding_synopses)
-        break;  // wait for acks (oversized-vs-watermark batches pass anyway)
-      // Stamp the publish hop before the first push: once a synopsis is in
-      // the channel the consumer may dequeue it, and the span's publish
-      // timestamp must precede its dequeue timestamp.
-      obs::SpanTracer::global().on_published(
-          im.pending.front().span_token,
-          published_.load(std::memory_order_relaxed) + batch_size);
-      for (const auto& s : im.pending.front().synopses) im.producer->push(s);
-      im.producer->flush();
-      im.pending.pop_front();
-      published_.fetch_add(batch_size, std::memory_order_relaxed);
-      metrics.published.inc(batch_size);
-    }
-    im.pending_batches.store(im.pending.size(), std::memory_order_release);
-    metrics.pending.set(static_cast<std::int64_t>(im.pending.size()));
-  };
-
-  // Queues a decoded batch, shedding the oldest when full.
-  auto enqueue_batch = [&](std::vector<core::Synopsis>&& batch,
-                           std::uint64_t span_token) {
-    if (batch.empty()) return;
-    while (im.pending.size() >= options_.max_pending_batches) {
-      bump(im.shed_batches, metrics.shed_batches);
-      bump(im.shed_synopses, metrics.shed_synopses,
-           im.pending.front().synopses.size());
-      obs::SpanTracer::global().on_shed(im.pending.front().span_token);
-      im.pending.pop_front();
-    }
-    im.pending.push_back({std::move(batch), span_token});
-    im.pending_batches.store(im.pending.size(), std::memory_order_release);
+  // Moves the decoded batch into the channel. The Producer is bound to one
+  // channel shard, so publish order is FIFO, and the flush makes the batch
+  // visible before anything later on its connection (a goodbye, a close)
+  // is counted. published_ moves first, so outstanding() never undercounts
+  // what the consumer can already drain.
+  auto publish = [&](std::uint64_t span_token) {
+    const std::uint64_t n = im.batch.size();
+    const std::uint64_t position =
+        published_.fetch_add(n, std::memory_order_relaxed) + n;
+    // Stamp the publish hop before the first push: once a synopsis is in
+    // the channel the consumer may dequeue it, and the span's publish
+    // timestamp must precede its dequeue timestamp.
+    obs::SpanTracer::global().on_published(span_token, position);
+    for (auto& s : im.batch) im.producer->push(std::move(s));
+    im.producer->flush();
+    im.batch.clear();
+    metrics.published.inc(n);
   };
 
   // Handles every completed frame on a connection. Returns false when the
@@ -364,17 +338,16 @@ void SynopsisServer::io_loop() {
           break;
         }
         case FrameType::kBatch: {
-          std::vector<core::Synopsis> batch;
-          if (!decode_batch(frame.payload, batch)) {
+          im.batch.clear();
+          if (!decode_batch(frame.payload, im.batch)) {
             count_reject(WireError::kBadPayload);
             return false;
           }
+          const std::uint64_t n = im.batch.size();
           bump(im.batches, metrics.batches);
-          bump(im.synopses, metrics.synopses, batch.size());
-          conn.synopses += batch.size();
-          const std::uint64_t span_token =
-              obs::SpanTracer::global().on_batch_decoded(batch.size());
-          enqueue_batch(std::move(batch), span_token);
+          bump(im.synopses, metrics.synopses, n);
+          conn.synopses += n;
+          publish(obs::SpanTracer::global().on_batch_decoded(n));
           break;
         }
         case FrameType::kHeartbeat:
@@ -396,16 +369,65 @@ void SynopsisServer::io_loop() {
     return true;
   };
 
+  // One recv() on a readable connection, then publish what it completed.
+  auto service = [&](Connection& conn) {
+    const ssize_t n =
+        ::recv(conn.fd, im.recv_buf.data(), im.recv_buf.size(), 0);
+    if (n > 0) {
+      bump(im.bytes, metrics.bytes, static_cast<std::uint64_t>(n));
+      if (!conn.decoder.feed(
+              std::span(im.recv_buf.data(), static_cast<std::size_t>(n)))) {
+        count_reject(conn.decoder.error());
+        close_connection(conn, false);  // decode damage, not a torn end
+      } else if (!handle_frames(conn)) {
+        close_connection(conn, false);
+      }
+      return;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR))
+      return;
+    close_connection(conn, true);  // peer closed, or a hard socket error
+  };
+
+  auto backlogged = [&] {
+    return published_.load(std::memory_order_relaxed) -
+               acked_.load(std::memory_order_seq_cst) >=
+           watermark;
+  };
+  // True while reads must stay paused. Arms ack()'s wake before the final
+  // re-check, so an ack racing with the pause is never slept through.
+  auto pause_reads = [&] {
+    if (!backlogged()) return false;
+    wake_on_ack_.store(true, std::memory_order_seq_cst);
+    if (backlogged()) return true;
+    wake_on_ack_.store(false, std::memory_order_relaxed);
+    return false;
+  };
+
   std::vector<pollfd> fds;
+  std::size_t rotation = 0;  // first connection serviced in a pass
+  bool was_paused = false;
   while (!stopping_.load(std::memory_order_acquire)) {
+    const bool paused = pause_reads();
+    if (paused && !was_paused) bump(im.read_pauses, metrics.read_pauses);
+    was_paused = paused;
+
     fds.clear();
     fds.push_back({im.wake_rd, POLLIN, 0});
     fds.push_back({im.listen_fd, POLLIN, 0});
+    // Paused: a negative fd makes poll() skip the entry, so unread bytes
+    // stay in the socket and TCP flow control pushes back on the sender.
     for (const auto& conn : im.connections)
-      fds.push_back({conn->fd, POLLIN, 0});
+      fds.push_back({paused ? -1 : conn->fd, POLLIN, 0});
 
     const int rc = ::poll(fds.data(), fds.size(), options_.poll_interval_ms);
     if (rc < 0 && errno != EINTR) break;
+
+    if (fds[0].revents & POLLIN) {
+      char sink[64];
+      while (::read(im.wake_rd, sink, sizeof sink) > 0) {
+      }
+    }
 
     // Accept new connections (drain the backlog).
     if (fds[1].revents & POLLIN) {
@@ -429,60 +451,36 @@ void SynopsisServer::io_loop() {
       }
     }
 
-    // Service readable connections. fds[i + 2] belongs to connections[i] as
-    // polled; iterate backwards so close_connection()'s erase cannot shift
-    // a not-yet-visited entry.
+    // Service readable connections, one recv() each. fds[i + 2] belongs to
+    // connections[i] (accepts only append). The pass starts at a rotating
+    // index and stops at the watermark, so under backpressure every
+    // connection still gets its turn.
     const std::size_t polled = fds.size() - 2;
-    for (std::size_t i = polled; i-- > 0;) {
-      if (i >= im.connections.size()) continue;  // closed by accept path? no — safety
-      const short revents = fds[i + 2].revents;
-      if (revents == 0) continue;
-      Connection& conn = *im.connections[i];
-      bool drop = false, truncation = true;
-      for (;;) {
-        const ssize_t n =
-            ::recv(conn.fd, im.recv_buf.data(), im.recv_buf.size(), 0);
-        if (n > 0) {
-          bump(im.bytes, metrics.bytes, static_cast<std::uint64_t>(n));
-          if (!conn.decoder.feed(
-                  std::span(im.recv_buf.data(), static_cast<std::size_t>(n)))) {
-            count_reject(conn.decoder.error());
-            drop = true;
-            truncation = false;  // decode damage, not a torn disconnect
-            break;
-          }
-          if (!handle_frames(conn)) {
-            drop = true;
-            truncation = false;
-            break;
-          }
-          continue;
-        }
-        if (n == 0) {  // peer closed
-          drop = true;
-          break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        drop = true;  // hard socket error
-        break;
-      }
-      if (drop) close_connection(i, truncation);
+    for (std::size_t k = 0; k < polled; ++k) {
+      const std::size_t i = (rotation + k) % polled;
+      if (fds[i + 2].revents == 0) continue;
+      if (backlogged()) break;
+      service(*im.connections[i]);
     }
+    ++rotation;
 
-    publish_ready();
+    if (std::erase_if(im.connections,
+                      [](const auto& conn) { return conn->fd < 0; }) > 0) {
+      active_.store(im.connections.size(), std::memory_order_relaxed);
+      metrics.active.set(static_cast<std::int64_t>(im.connections.size()));
+    }
   }
 
-  // Shutdown: close everything, then publish what was already decoded so no
-  // accepted data is stranded invisibly between the wire and the channel.
-  while (!im.connections.empty())
-    close_connection(im.connections.size() - 1, true);
-  options_.max_outstanding_synopses = UINT64_MAX;
-  publish_ready();
+  // Shutdown: close everything. Nothing decoded is waiting — every batch
+  // was published by the read that completed it.
+  for (auto& conn : im.connections) close_connection(*conn, true);
+  im.connections.clear();
+  active_.store(0, std::memory_order_relaxed);
+  metrics.active.set(0);
+  wake_on_ack_.store(false, std::memory_order_relaxed);
   im.producer->flush();
   im.producer.reset();
-  // listen/wake fds stay open here; stop() closes them after the join so a
-  // concurrent stop() can still write its wake byte into a live pipe.
+  // The listen fd stays open here; stop() closes it after the join.
 }
 
 }  // namespace saad::net

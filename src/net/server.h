@@ -10,23 +10,32 @@
 // thread only drains the channel and calls ack(). No per-connection threads
 // — the paper's deployment expects many lightweight senders per analyzer.
 //
-// Ordering: the I/O thread publishes decoded batches FIFO through a single
-// channel Producer (one shard), so a single client's synopses reach the
-// analyzer in exactly the order it sent them — the property the end-to-end
-// determinism test pins. Interleaving *between* clients is unspecified, as
-// it already is between in-process producer threads.
+// Ordering: the I/O thread publishes every decoded batch right after the
+// recv() that completed it, FIFO through a single channel Producer (one
+// shard), moving the decoded synopses into the channel. A single client's
+// synopses therefore reach the analyzer in exactly the order it sent them —
+// the property the end-to-end determinism test pins. Interleaving *between*
+// clients is unspecified, as it already is between in-process producer
+// threads.
 //
-// Overload policy (bounded everywhere, never block the acceptor):
+// Overload policy (bounded everywhere, lossless):
 //   * per-connection reassembly buffers are bounded by one frame
 //     (kMaxFramePayload) — a corrupt length prefix cannot balloon them;
-//   * decoded-but-unpublished batches wait in a bounded pending queue;
-//     when it is full the *oldest* batch is shed and counted
-//     (saad_net_shed_batches_total / saad_net_shed_synopses_total) —
-//     freshest data wins, and the I/O thread never blocks on a slow
-//     analyzer;
-//   * batches are published only while published-minus-acked stays under
-//     max_outstanding_synopses, so a stalled consumer shows up as sheds
-//     here instead of unbounded channel growth.
+//   * nothing waits between decode and publish, so the server holds no
+//     queue of its own to overflow;
+//   * backpressure, not shedding: once published-minus-acked reaches
+//     max_outstanding_synopses the I/O thread stops polling data
+//     connections for reads (counted in saad_net_read_pauses_total). TCP
+//     flow control then blocks the senders, whose spools absorb the wait.
+//     The bound is soft: the recv() that crosses the watermark is still
+//     decoded and published, so the channel backlog stays under the
+//     watermark plus one receive buffer (kRecvBufferBytes) and one partial
+//     frame. ack() reopens the reads through the I/O thread's self-pipe as
+//     soon as the backlog falls back under the watermark;
+//   * the ledger: a synopsis the server read is either published or its
+//     connection was rejected for damage (counted by cause). On a clean
+//     session, client sent == server decoded == published == what the
+//     consumer drains, and the goodbye frame audits the first equality.
 //
 // Damage policy: any wire decode error poisons that connection — it is
 // closed and the matching saad_net_* reject counter is bumped; other
@@ -51,14 +60,11 @@ class SynopsisServer {
     std::string bind_address = "127.0.0.1";
     std::uint16_t port = 0;  // 0 = ephemeral; see port() for the real one
     std::size_t max_connections = 64;
-    /// Decoded batches waiting to be published; the oldest is shed when a
-    /// new batch arrives while the queue is full.
-    std::size_t max_pending_batches = 1024;
     /// High watermark on synopses published into the channel but not yet
-    /// ack()ed by the consumer.
+    /// ack()ed by the consumer; reaching it pauses reads (backpressure).
     std::uint64_t max_outstanding_synopses = 1 << 20;
-    /// poll() timeout; also the cadence at which publish retries after the
-    /// consumer acks below the watermark.
+    /// poll() timeout: the idle tick. Stop and ack() wake the I/O thread
+    /// through its self-pipe, so neither waits for it.
     int poll_interval_ms = 20;
   };
 
@@ -80,9 +86,11 @@ class SynopsisServer {
     std::uint64_t frame_rejects = 0;     // kBadType / kOversized
     std::uint64_t payload_rejects = 0;   // kBadPayload / kNotHello / kBadVersion
     std::uint64_t truncated = 0;         // disconnect mid-frame
-    std::uint64_t shed_batches = 0;
-    std::uint64_t shed_synopses = 0;
+    std::uint64_t read_pauses = 0;       // reads paused at the watermark
   };
+
+  /// Bytes one recv() reads; with the watermark it bounds the backlog.
+  static constexpr std::size_t kRecvBufferBytes = 64 * 1024;
 
   explicit SynopsisServer(core::SynopsisChannel* channel)
       : SynopsisServer(channel, Options()) {}
@@ -95,8 +103,8 @@ class SynopsisServer {
   /// (error written to errno by the failing call).
   bool start();
 
-  /// Closes the listener and every connection, publishes any still-pending
-  /// batches, and joins the I/O thread. Idempotent.
+  /// Closes the listener and every connection and joins the I/O thread.
+  /// Everything decoded is already in the channel. Idempotent.
   void stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -105,7 +113,9 @@ class SynopsisServer {
   std::uint16_t port() const { return port_; }
 
   /// Consumer-side flow control: report `n` synopses drained out of the
-  /// channel, freeing watermark room for further publishes.
+  /// channel. Wakes the I/O thread when this brings a paused server back
+  /// under the watermark. Call from one consumer thread, not concurrently
+  /// with the destructor.
   void ack(std::uint64_t n);
 
   std::size_t active_connections() const {
@@ -113,10 +123,11 @@ class SynopsisServer {
   }
 
   /// Connections that completed the hello and have since ended (goodbye or
-  /// disconnect). `serve --once` exits when this goes positive and the
-  /// pipeline has drained.
+  /// disconnect). Everything such a session carried is already published
+  /// when the count moves (acquire pairs with the I/O thread's release), so
+  /// `serve --once` exits when this goes positive and the channel is empty.
   std::uint64_t sessions_finished() const {
-    return sessions_.load(std::memory_order_relaxed);
+    return sessions_.load(std::memory_order_acquire);
   }
 
   /// Synopses published minus acked — the channel backlog this server is
@@ -125,9 +136,6 @@ class SynopsisServer {
     return published_.load(std::memory_order_relaxed) -
            acked_.load(std::memory_order_relaxed);
   }
-
-  /// True once every decoded batch has been published (nothing pending).
-  bool drained() const;
 
   Stats stats() const;
 
@@ -149,6 +157,9 @@ class SynopsisServer {
   std::atomic<std::uint64_t> sessions_{0};
   std::atomic<std::uint64_t> published_{0};
   std::atomic<std::uint64_t> acked_{0};
+  // Set by the I/O thread while reads are paused at the watermark; the
+  // ack() that clears it writes the wake byte.
+  std::atomic<bool> wake_on_ack_{false};
 };
 
 }  // namespace saad::net

@@ -124,7 +124,9 @@ bool FrameDecoder::feed(std::span<const std::uint8_t> data) {
   std::size_t pos = 0;
   if (magic_pending_) {
     const std::size_t have = std::min(buffer_.size(), sizeof kStreamMagic);
-    if (std::memcmp(buffer_.data(), kStreamMagic, have) != 0) {
+    // memcmp needs valid pointers even for a zero length, and an empty
+    // first feed leaves buffer_.data() null.
+    if (have > 0 && std::memcmp(buffer_.data(), kStreamMagic, have) != 0) {
       error_ = WireError::kBadMagic;
       buffer_.clear();
       return false;

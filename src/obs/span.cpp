@@ -47,8 +47,7 @@ struct SpanMetrics {
             "Spans that reached the verdict-emit hop.")),
         abandoned(MetricsRegistry::global().counter(
             "saad_span_abandoned_total",
-            "Spans lost before completion (batch shed, or open-span bound "
-            "hit).")),
+            "Spans lost before completion (open-span bound hit).")),
         evicted(MetricsRegistry::global().counter(
             "saad_span_evicted_total",
             "Completed spans overwritten in the bounded export ring.")),
@@ -176,21 +175,6 @@ void SpanTracer::on_published(std::uint64_t token, std::uint64_t position) {
         now();
     return;
   }
-}
-
-void SpanTracer::on_shed(std::uint64_t token) {
-  if (token == 0 || !enabled()) return;
-  std::lock_guard lock(mu_);
-  auto it = std::find_if(open_.begin(), open_.end(), [&](const Open& open) {
-    return open.span.id == token;
-  });
-  if (it == open_.end()) return;
-  open_.erase(it);
-  open_count_.store(open_.size(), std::memory_order_relaxed);
-  ++abandoned_;
-  auto& metrics = SpanMetrics::get();
-  metrics.abandoned.inc();
-  metrics.open.set(static_cast<std::int64_t>(open_.size()));
 }
 
 void SpanTracer::stamp_from(std::uint64_t cumulative, SpanHop hop) {

@@ -22,8 +22,8 @@
 // a batch published at cumulative position P gets its dequeue / assign /
 // close / emit stamps the first time the consumer's cumulative count reaches
 // P with the prior hop already stamped. Positions are in published-synopsis
-// coordinates, so overload sheds (which happen before publish) never skew
-// downstream matching — a shed sampled batch is abandoned and counted.
+// coordinates; the server publishes every decoded batch, so decode and
+// publish positions never diverge.
 //
 // Cost model: every hook self-gates on one relaxed atomic load when tracing
 // is disabled (the default — `detect` and in-process tests never pay more
@@ -109,9 +109,6 @@ class SpanTracer {
   /// through and including this batch). Call with token 0 allowed (no-op).
   void on_published(std::uint64_t token, std::uint64_t position);
 
-  /// The token's batch was shed before publish; its span is abandoned.
-  void on_shed(std::uint64_t token);
-
   // ---- Consumer-side hooks (analyzer loop thread) --------------------------
   // Each stamps every open span whose position <= `cumulative` and whose
   // previous hop is already stamped. `cumulative` counts synopses the
@@ -138,7 +135,7 @@ class SpanTracer {
   std::uint64_t batches() const;    // batches seen at decode since enable()
   std::uint64_t sampled() const;    // spans started
   std::uint64_t completed_count() const;
-  std::uint64_t abandoned() const;  // shed or open-overflowed spans
+  std::uint64_t abandoned() const;  // open-overflowed spans
   std::uint64_t sample_every() const;
 
   /// Drops all state and counters (not the registered metric families).

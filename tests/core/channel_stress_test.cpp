@@ -3,7 +3,9 @@
 // cranked up under -fsanitize=thread without slowing the plain unit suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 
@@ -118,6 +120,46 @@ TEST(ChannelStress, MixedBatchedAndDirectProducers) {
   channel.drain(out);
   EXPECT_EQ(out.size(), 2 * kEach);
   EXPECT_EQ(channel.pushed(), 2 * kEach);
+}
+
+TEST(ChannelStress, WaitForPushNeverSleepsThroughAWake) {
+  // The consumer parks between publishes the way serve's loop does; two
+  // producers (direct pushes and batched flushes) race its parking. A lost
+  // wake-up would stall one wait for its whole timeout, so every wait must
+  // come back with a push well before it.
+  constexpr TaskUid kEach = 4000;
+  constexpr auto kTimeout = std::chrono::seconds(20);
+  SynopsisChannel channel;
+  std::thread direct([&channel] {
+    for (TaskUid i = 0; i < kEach; ++i) channel.push(sample(0, i));
+  });
+  std::thread batched([&channel] {
+    auto handle = channel.producer();
+    for (TaskUid i = kEach; i < 2 * kEach; ++i) {
+      handle.push(sample(1, i));
+      if (i % 3 == 0) handle.flush();
+    }
+  });
+
+  std::vector<Synopsis> out;
+  std::uint64_t waits = 0;
+  auto slowest = std::chrono::steady_clock::duration::zero();
+  while (out.size() < 2 * kEach) {
+    const std::uint64_t seen = channel.pushed();
+    channel.drain(out);
+    if (out.size() >= 2 * kEach) break;
+    const auto t0 = std::chrono::steady_clock::now();
+    if (!channel.wait_for_push(seen, kTimeout)) {
+      ADD_FAILURE() << "wait " << waits << " timed out";
+      break;
+    }
+    slowest = std::max(slowest, std::chrono::steady_clock::now() - t0);
+    ++waits;
+  }
+  direct.join();
+  batched.join();
+  EXPECT_EQ(out.size(), 2 * kEach);
+  EXPECT_LT(slowest, kTimeout / 2) << "a wake was missed";
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -77,10 +76,24 @@ std::vector<Synopsis> make_trace(std::uint64_t seed, std::size_t count,
   return trace;
 }
 
+/// What one loopback run delivered, with both ends' counts.
+struct Delivery {
+  std::vector<Synopsis> received;  // in delivery order
+  SynopsisServer::Stats server;
+  std::uint64_t client_sent = 0;
+};
+
+/// The conservation ledger of a clean session: nothing is lost or made up
+/// between the client's send and the consumer's drain.
+void expect_ledger(const Delivery& d) {
+  EXPECT_EQ(d.client_sent, d.server.synopses) << "sent != decoded";
+  EXPECT_EQ(d.server.synopses, d.server.published) << "decoded != published";
+  EXPECT_EQ(d.server.published, d.received.size()) << "published != drained";
+}
+
 /// Ships `stream` through a real loopback connection and returns what the
-/// channel delivered, in delivery order.
-std::vector<Synopsis> loopback_roundtrip(const std::vector<Synopsis>& stream,
-                                         SynopsisServer::Stats* stats_out) {
+/// channel delivered.
+Delivery loopback_roundtrip(const std::vector<Synopsis>& stream) {
   core::SynopsisChannel channel;
   SynopsisServer server(&channel);
   EXPECT_TRUE(server.start());
@@ -98,27 +111,29 @@ std::vector<Synopsis> loopback_roundtrip(const std::vector<Synopsis>& stream,
   }
   EXPECT_TRUE(client.close());
 
-  std::vector<Synopsis> received;
+  Delivery d;
+  d.client_sent = client.stats().sent_synopses;
   std::vector<Synopsis> chunk;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (std::chrono::steady_clock::now() < deadline) {
     chunk.clear();
+    const std::uint64_t seen = channel.pushed();
     channel.drain(chunk);
     server.ack(chunk.size());
-    received.insert(received.end(), chunk.begin(), chunk.end());
+    d.received.insert(d.received.end(), chunk.begin(), chunk.end());
     if (server.sessions_finished() > 0 && server.active_connections() == 0 &&
-        server.drained() && received.size() >= stream.size())
+        d.received.size() >= stream.size())
       break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    channel.wait_for_push(seen, std::chrono::milliseconds(1));
   }
   server.stop();
   chunk.clear();
   channel.drain(chunk);
   server.ack(chunk.size());
-  received.insert(received.end(), chunk.begin(), chunk.end());
-  if (stats_out) *stats_out = server.stats();
-  return received;
+  d.received.insert(d.received.end(), chunk.begin(), chunk.end());
+  d.server = server.stats();
+  return d;
 }
 
 /// Replays `stream` through an AnomalyDetector with a mid-stream advance_to
@@ -139,8 +154,9 @@ std::string run_detector(const OutlierModel& model,
 
 TEST(NetEndToEnd, LoopbackDeliveryIsBitIdenticalAndOrdered) {
   const auto stream = make_trace(21, 5000, 0.05, 0.08);
-  SynopsisServer::Stats stats;
-  const auto received = loopback_roundtrip(stream, &stats);
+  const Delivery d = loopback_roundtrip(stream);
+  const auto& received = d.received;
+  const auto& stats = d.server;
 
   ASSERT_EQ(received.size(), stream.size());
   for (std::size_t i = 0; i < stream.size(); ++i) {
@@ -160,8 +176,8 @@ TEST(NetEndToEnd, LoopbackDeliveryIsBitIdenticalAndOrdered) {
   EXPECT_EQ(stats.frame_rejects, 0u);
   EXPECT_EQ(stats.payload_rejects, 0u);
   EXPECT_EQ(stats.truncated, 0u);
-  EXPECT_EQ(stats.shed_batches, 0u);
-  EXPECT_EQ(stats.shed_synopses, 0u);
+  EXPECT_EQ(d.client_sent, stream.size());
+  expect_ledger(d);
 }
 
 TEST(NetEndToEnd, VerdictsMatchInProcessDetect) {
@@ -175,12 +191,11 @@ TEST(NetEndToEnd, VerdictsMatchInProcessDetect) {
   ASSERT_FALSE(in_process.empty())
       << "workload produced no anomalies — the golden comparison is vacuous";
 
-  SynopsisServer::Stats stats;
-  const auto received = loopback_roundtrip(stream, &stats);
-  ASSERT_EQ(received.size(), stream.size());
-  EXPECT_EQ(stats.shed_synopses, 0u);
+  const Delivery d = loopback_roundtrip(stream);
+  ASSERT_EQ(d.received.size(), stream.size());
+  expect_ledger(d);
 
-  EXPECT_EQ(run_detector(model, received), in_process);
+  EXPECT_EQ(run_detector(model, d.received), in_process);
 }
 
 }  // namespace

@@ -118,24 +118,6 @@ TEST(SpanTracer, ConsumerHooksWaitForPublishPosition) {
   ASSERT_EQ(tracer.completed().size(), 1u);
 }
 
-TEST(SpanTracer, ShedBatchIsAbandoned) {
-  std::int64_t time = 0;
-  SpanTracer tracer;
-  tracer.enable(scripted(1, 0, &time));
-  const std::uint64_t token = tracer.on_batch_decoded(5);
-  ASSERT_NE(token, 0u);
-  tracer.on_shed(token);
-  EXPECT_EQ(tracer.abandoned(), 1u);
-  // The span is gone: later consumer progress can't resurrect it.
-  tracer.on_published(token, 5);
-  tracer.on_dequeued(5);
-  tracer.on_assigned(5);
-  tracer.on_window_close(5);
-  tracer.on_verdict_emit(5);
-  EXPECT_TRUE(tracer.completed().empty());
-  EXPECT_EQ(tracer.completed_count(), 0u);
-}
-
 TEST(SpanTracer, OpenBoundAbandonsOldest) {
   std::int64_t time = 0;
   SpanTracer tracer;

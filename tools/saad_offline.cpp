@@ -987,12 +987,14 @@ int cmd_serve(const Args& args) {
       handle_reload();
     }
     batch.clear();
+    const std::uint64_t seen = channel.pushed();
     channel.drain(batch);
     if (batch.empty()) {
-      // --once: the session is over once a hello'd connection has ended and
-      // everything decoded has been published and drained.
+      // --once: the session is over once a hello'd connection has ended;
+      // the server publishes a session's synopses before it counts the
+      // end, and the final drain below collects any that raced this one.
       if (args.once && server.sessions_finished() > 0 &&
-          server.active_connections() == 0 && server.drained())
+          server.active_connections() == 0)
         break;
       // Session end is the one quiescent point a test can line up on: every
       // synopsis the finished session carried has been decoded, published,
@@ -1000,17 +1002,18 @@ int cmd_serve(const Args& args) {
       // position (a SIGKILL now loses nothing).
       if (checkpointing &&
           server.sessions_finished() > checkpointed_sessions &&
-          server.drained() && server.outstanding() == 0) {
+          server.outstanding() == 0) {
         checkpointed_sessions = server.sessions_finished();
         write_checkpoint("session end");
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      // Wakes on the next publish; the timeout paces the checks above.
+      channel.wait_for_push(seen, std::chrono::milliseconds(5));
       continue;
     }
     ingest_batch();
   }
-  server.stop();          // publishes any still-pending batches
-  channel.drain(batch);   // ...which this final drain collects
+  server.stop();
+  channel.drain(batch);   // collects what was published since the last drain
   ingest_batch();
 
   auto tail = analyzer.finish();
@@ -1047,11 +1050,13 @@ int cmd_serve(const Args& args) {
   }
   admin.stop();
 
+  // The trailing "0 shed" keeps the line's historical shape for the scripts
+  // that parse it: the server pushes back instead of shedding.
   const auto stats = server.stats();
   std::fprintf(stderr,
                "serve: %llu connections, %llu sessions, %llu frames, %llu "
                "synopses, %llu bytes; rejects: %llu crc, %llu magic, %llu "
-               "frame, %llu payload, %llu truncated; %llu shed\n",
+               "frame, %llu payload, %llu truncated; 0 shed\n",
                static_cast<unsigned long long>(stats.connections),
                static_cast<unsigned long long>(stats.sessions),
                static_cast<unsigned long long>(stats.frames),
@@ -1061,8 +1066,7 @@ int cmd_serve(const Args& args) {
                static_cast<unsigned long long>(stats.magic_rejects),
                static_cast<unsigned long long>(stats.frame_rejects),
                static_cast<unsigned long long>(stats.payload_rejects),
-               static_cast<unsigned long long>(stats.truncated),
-               static_cast<unsigned long long>(stats.shed_synopses));
+               static_cast<unsigned long long>(stats.truncated));
 
   std::printf("%zu anomalies in %zu synopses:\n", anomalies.size(), ingested);
   for (const auto& a : anomalies)
@@ -1121,6 +1125,7 @@ int cmd_replay(const Args& args) {
   const long long speed = args.speed;
   core::Synopsis s;
   UsTime prev = -1;
+  std::chrono::steady_clock::time_point due;  // --pace=recorded deadline
   long long to_skip = args.skip;
   std::size_t streamed = 0;
   while (reader.next(s)) {
@@ -1133,9 +1138,16 @@ int cmd_replay(const Args& args) {
     }
     if (args.limit >= 0 && streamed >= static_cast<std::size_t>(args.limit))
       break;
-    if (args.pace == "recorded" && prev >= 0 && s.start > prev) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds((s.start - prev) / speed));
+    if (args.pace == "recorded") {
+      // Each forward start-time gap / speed is waited out against an
+      // absolute deadline, so one sleep's wake-up overshoot is absorbed by
+      // the gaps after it instead of adding up over the whole run.
+      if (prev < 0) {
+        due = std::chrono::steady_clock::now();
+      } else if (s.start > prev) {
+        due += std::chrono::microseconds((s.start - prev) / speed);
+        std::this_thread::sleep_until(due);
+      }
     }
     prev = s.start;
     client.enqueue(s);
